@@ -1,7 +1,10 @@
 //! Criterion benches for the formal-model machinery: serial-system
 //! execution, Theorem 10 projection and replay, return-order
 //! serialization, and the Moss lock manager. These bound the cost of the
-//! randomized checking behind experiments E1–E3.
+//! randomized checking behind experiments E1–E3, and of the Theorem 10
+//! conformance check over a simulator-scale trace.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nested_txn::{AccessKind, AccessSpec, ObjectId, Tid, TxnOp, Value};
@@ -10,6 +13,10 @@ use qc_cc::{run_concurrent, serialize_return_order, CcRunOptions, LockingObject}
 use qc_replication::{
     build_system_a, check_projection, project_to_a, run_system_b, RunOptions,
 };
+use qc_sim::{
+    check_trace, run_traced, ContactPolicy, ReconfigPolicy, RetryPolicy, SimConfig, SimTime,
+};
+use quorum::Rowa;
 
 fn bench_serial_execution(c: &mut Criterion) {
     let spec = figure1_spec();
@@ -68,6 +75,29 @@ fn bench_theorem10(c: &mut Criterion) {
     });
     g.bench_function("full_check", |b| {
         b.iter(|| check_projection(&spec, &layout, std::hint::black_box(&beta)).unwrap())
+    });
+    // The conformance checker at simulator scale: a 5 sim-s single-item
+    // ROWA/5 run under crash/repair churn with reactive reconfiguration
+    // (about 365k trace events), checked end to end — structure, Lemmas
+    // 7/8, and the streamed Theorem 10 replay on system A.
+    let quorum = Arc::new(Rowa::new(5));
+    let mut grid = SimConfig::new(Arc::clone(&quorum) as Arc<_>);
+    grid.clients = 8;
+    grid.think_time = SimTime::ZERO;
+    grid.read_fraction = 0.9;
+    grid.contact = ContactPolicy::MinimalQuorum;
+    grid.mttf = Some(SimTime::from_secs(20));
+    grid.mttr = SimTime::from_secs(2);
+    grid.reconfig = ReconfigPolicy {
+        max_reconfigs: u32::MAX,
+        ..ReconfigPolicy::reactive()
+    };
+    grid.retry = RetryPolicy::retries(3, SimTime::from_millis(1));
+    grid.duration = SimTime::from_secs(5);
+    grid.seed = 23;
+    let (_, trace) = run_traced(grid);
+    g.bench_function("check_trace_grid", |b| {
+        b.iter(|| check_trace(std::hint::black_box(&trace), &*quorum).unwrap())
     });
     g.finish();
 }

@@ -25,11 +25,14 @@
 //!    non-replicated [`ReadWriteObject`] — so the trace is accepted only
 //!    if it is literally a schedule of the non-replicated system.
 //!
-//! [`project_trace`] exposes the erasure step on its own, and
+//! [`project_trace`] exposes the erasure step on its own (collecting
+//! the same projection that [`replay_projection`] streams into system
+//! **A** without materialising it), and
 //! [`trace_from_schedule`] adapts an I/O-automaton schedule of system
 //! **B** (serial or concurrency-controlled) into a trace, so the same
 //! checker cross-validates the simulator and the automata.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use ioa::{Component, OpClass, Schedule, System};
@@ -956,18 +959,53 @@ pub fn check_trace(
 
     // Theorem 10: erase the replica accesses and replay the candidate
     // serial schedule on a real system A.
-    let (alpha, src) = project_trace(trace);
-    replay_alpha(trace.initial, &alpha, &src, &trace.events)?;
+    let alpha_len = replay_projection(trace)?;
 
     Ok(ConformanceReport {
         events: trace.events.len(),
         committed,
         aborted,
         erased,
-        alpha_len: alpha.len(),
+        alpha_len,
         faulted_events,
         max_vn: checker.current_vn(),
     })
+}
+
+/// Theorem 10 on its own: stream the projection α of `trace` (see
+/// [`project_trace`]) into a fresh serial system **A**, one operation at a
+/// time as the erasure produces it — α is never materialised. Returns α's
+/// length on acceptance. This is [`check_trace`]'s last stage; unlike
+/// `check_trace` it runs even on traces whose structure is malformed (the
+/// lenient erasure drops incomplete blocks).
+///
+/// # Errors
+///
+/// System **A**'s first refusal, mapped back to the trace event the
+/// refused operation was projected from.
+pub fn replay_projection(trace: &ScheduleTrace) -> Result<usize, Divergence> {
+    let mut system: System<TxnOp> = System::new();
+    system.push(Box::new(SerialScheduler::new()));
+    system.push(Box::new(ReadWriteObject::new(
+        A_OBJECT,
+        "O(x)",
+        Value::Int(trace.initial as i64),
+    )));
+    system.push(Box::new(TraceRoot));
+    let mut alpha_len = 0usize;
+    visit_projection(trace, |op, at| {
+        alpha_len += 1;
+        system.step(&op).map_err(|e| Divergence {
+            event: at,
+            action: trace
+                .events
+                .get(at)
+                .map(|ev| format!("{}: {}", ev.tid, ev.action))
+                .unwrap_or_else(|| "end of trace".into()),
+            kind: DivergenceKind::Replay(format!("serial system A refused {op}: {e}")),
+        })
+    })?;
+    Ok(alpha_len)
 }
 
 /// The non-replicated object of the synthesized serial system **A**.
@@ -984,16 +1022,37 @@ const A_OBJECT: ObjectId = ObjectId(0);
 /// `REQUEST-COMMIT` / `COMMIT` block. The erasure is lenient: events that
 /// do not form a complete block are dropped (the structural layer of
 /// [`check_trace`] reports them precisely).
+///
+/// This collects the same projection that [`replay_projection`] (and so
+/// [`check_trace`]) streams into system **A** operation by operation.
 pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
     let mut alpha: Schedule<TxnOp> = Schedule::new();
     let mut src: Vec<usize> = Vec::new();
-    alpha.push(TxnOp::Create {
-        tid: Tid::root(),
-        access: None,
-        param: None,
+    let collected: Result<(), Infallible> = visit_projection(trace, |op, at| {
+        alpha.push(op);
+        src.push(at);
+        Ok(())
     });
-    src.push(0);
+    let Ok(()) = collected;
+    (alpha, src)
+}
 
+/// The projection α of [`project_trace`], one operation at a time:
+/// `visit(op, at)` receives each α operation in order with the index of
+/// the trace event it came from. Stops at (and returns) the first error
+/// `visit` reports.
+fn visit_projection<E>(
+    trace: &ScheduleTrace,
+    mut visit: impl FnMut(TxnOp, usize) -> Result<(), E>,
+) -> Result<(), E> {
+    visit(
+        TxnOp::Create {
+            tid: Tid::root(),
+            access: None,
+            param: None,
+        },
+        0,
+    )?;
     // An open TM block: (name, kind, CREATE index, REQUEST-COMMIT (value,
     // index) once seen).
     type OpenBlock = (TraceTid, TmKind, usize, Option<(u64, usize)>);
@@ -1022,7 +1081,7 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
                     if kind == TmKind::Reconfig {
                         continue;
                     }
-                    let tid = Tid::root().child(k);
+                    let tid = Tid::from_path(&[k]);
                     k += 1;
                     let (spec, result) = match kind {
                         TmKind::Read => (AccessSpec::read(A_OBJECT), Value::Int(value as i64)),
@@ -1032,44 +1091,50 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
                         ),
                         TmKind::Reconfig => unreachable!("erased above"),
                     };
-                    alpha.push(TxnOp::RequestCreate {
-                        tid: tid.clone(),
-                        access: Some(spec.clone()),
-                        param: None,
-                    });
-                    src.push(ev_create);
-                    alpha.push(TxnOp::Create {
-                        tid: tid.clone(),
-                        access: Some(spec),
-                        param: None,
-                    });
-                    src.push(ev_create);
-                    alpha.push(TxnOp::RequestCommit {
-                        tid: tid.clone(),
-                        value: result.clone(),
-                    });
-                    src.push(ev_rc);
-                    alpha.push(TxnOp::Commit { tid, value: result });
-                    src.push(i);
+                    visit(
+                        TxnOp::RequestCreate {
+                            tid: tid.clone(),
+                            access: Some(spec.clone()),
+                            param: None,
+                        },
+                        ev_create,
+                    )?;
+                    visit(
+                        TxnOp::Create {
+                            tid: tid.clone(),
+                            access: Some(spec),
+                            param: None,
+                        },
+                        ev_create,
+                    )?;
+                    visit(
+                        TxnOp::RequestCommit {
+                            tid: tid.clone(),
+                            value: result.clone(),
+                        },
+                        ev_rc,
+                    )?;
+                    visit(TxnOp::Commit { tid, value: result }, i)?;
                 }
             }
             TraceAction::Abort { kind, .. } => {
                 if open.is_none() && kind != TmKind::Reconfig {
-                    let tid = Tid::root().child(k);
+                    let tid = Tid::from_path(&[k]);
                     k += 1;
                     let spec = match kind {
                         TmKind::Read => AccessSpec::read(A_OBJECT),
                         TmKind::Write => AccessSpec::write(A_OBJECT, Value::Nil),
                         TmKind::Reconfig => unreachable!("erased above"),
                     };
-                    alpha.push(TxnOp::RequestCreate {
-                        tid: tid.clone(),
-                        access: Some(spec),
-                        param: None,
-                    });
-                    src.push(i);
-                    alpha.push(TxnOp::Abort { tid });
-                    src.push(i);
+                    visit(
+                        TxnOp::RequestCreate {
+                            tid: tid.clone(),
+                            access: Some(spec),
+                            param: None,
+                        },
+                        i,
+                    )?;
+                    visit(TxnOp::Abort { tid }, i)?;
                 }
             }
             TraceAction::ReadDm { .. }
@@ -1078,7 +1143,7 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
             | TraceAction::WriteCfg { .. } => {}
         }
     }
-    (alpha, src)
+    Ok(())
 }
 
 /// The root "user program" of the synthesized system **A**: it outputs the
@@ -1119,39 +1184,6 @@ impl Component<TxnOp> for TraceRoot {
     fn clone_boxed(&self) -> Box<dyn Component<TxnOp>> {
         Box::new(self.clone())
     }
-}
-
-/// Replay α on a fresh serial system **A**, mapping a refusal back to the
-/// trace event the refused operation was projected from.
-fn replay_alpha(
-    initial: u64,
-    alpha: &Schedule<TxnOp>,
-    src: &[usize],
-    events: &[TraceEvent],
-) -> Result<(), Divergence> {
-    let mut system: System<TxnOp> = System::new();
-    system.push(Box::new(SerialScheduler::new()));
-    system.push(Box::new(ReadWriteObject::new(
-        A_OBJECT,
-        "O(x)",
-        Value::Int(initial as i64),
-    )));
-    system.push(Box::new(TraceRoot));
-    for (j, op) in alpha.iter().enumerate() {
-        if let Err(e) = system.step(op) {
-            let at = src[j];
-            let action = events
-                .get(at)
-                .map(|ev| format!("{}: {}", ev.tid, ev.action))
-                .unwrap_or_else(|| "end of trace".into());
-            return Err(Divergence {
-                event: at,
-                action,
-                kind: DivergenceKind::Replay(format!("serial system A refused {op}: {e}")),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Adapt an I/O-automaton schedule of system **B** (serial, or a serial

@@ -130,31 +130,29 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     /// * [`IoaError::StepRefused`] if the owning component does not have the
     ///   operation enabled. The system state is left unchanged in this case.
     pub fn step(&mut self, op: &Op) -> Result<(), IoaError> {
-        let mut owners = Vec::new();
-        for (i, c) in self.components.iter().enumerate() {
-            if c.classify(op).is_output() {
-                owners.push(i);
-            }
-        }
-        match owners.len() {
-            0 => {
-                return Err(IoaError::NoOutputOwner {
-                    op: format!("{op:?}"),
-                })
-            }
-            1 => {}
-            _ => {
-                return Err(IoaError::AmbiguousOutput {
-                    op: format!("{op:?}"),
-                    owners: owners
-                        .iter()
-                        .map(|&i| self.components[i].name())
-                        .collect(),
-                })
-            }
+        let mut outputs = self
+            .components
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.classify(op).is_output())
+            .map(|(i, _)| i);
+        let Some(owner) = outputs.next() else {
+            return Err(IoaError::NoOutputOwner {
+                op: format!("{op:?}"),
+            });
+        };
+        if outputs.next().is_some() {
+            return Err(IoaError::AmbiguousOutput {
+                op: format!("{op:?}"),
+                owners: self
+                    .components
+                    .iter()
+                    .filter(|c| c.classify(op).is_output())
+                    .map(|c| c.name())
+                    .collect(),
+            });
         }
         // Apply to the owner first so that a refusal leaves inputs unsent.
-        let owner = owners[0];
         self.components[owner]
             .apply(op)
             .map_err(|reason| IoaError::StepRefused {

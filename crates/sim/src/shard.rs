@@ -445,16 +445,20 @@ enum Event {
     /// Retry of a parked operation. The low 32 bits of `key` are the
     /// shard-local client index in client-paced modes and the **global**
     /// item id under [`Workload::Routed`]; the high 32 bits carry the
-    /// coordinator's retry epoch at scheduling time. A migration aborts
+    /// coordinator's epoch at scheduling time. A migration aborts
     /// the in-flight op and bumps the epoch, so a retry queued before the
     /// barrier tombstones instead of prodding whatever op parks there
     /// next.
     Retry { key: usize },
     SpyCheck,
-    /// A routed arrival for global item `item`. Arrivals for items this
-    /// shard no longer owns are tombstones (the new owner re-derives the
-    /// same stream from `(seed, item, t)`).
-    Arrival { item: usize },
+    /// A routed arrival: the global item id in the low 32 bits of `key`,
+    /// the item's ownership epoch at scheduling time in the high 32.
+    /// Arrivals for items this shard no longer owns are tombstones (the
+    /// new owner re-derives the same stream from `(seed, item, t)`), and
+    /// so are arrivals queued during an *earlier* ownership of an item
+    /// that has since migrated back: the import bumped its epoch and
+    /// started a fresh stream.
+    Arrival { key: usize },
 }
 
 // `(time, seq)` alone orders queue entries, so the payload needs no `Ord`.
@@ -468,7 +472,7 @@ impl EventBox {
             Event::PlanFault { idx } => EventBox(1, idx),
             Event::Retry { key } => EventBox(2, key),
             Event::SpyCheck => EventBox(3, 0),
-            Event::Arrival { item } => EventBox(4, item),
+            Event::Arrival { key } => EventBox(4, key),
         }
     }
 
@@ -478,7 +482,7 @@ impl EventBox {
             1 => Event::PlanFault { idx: self.1 },
             2 => Event::Retry { key: self.1 },
             3 => Event::SpyCheck,
-            _ => Event::Arrival { item: self.1 },
+            _ => Event::Arrival { key: self.1 },
         }
     }
 }
@@ -573,9 +577,12 @@ struct ShardSim<'a> {
     /// client in client-paced modes, one per owned item under Routed.
     pending: OpSlab,
     op_counter: Vec<u64>,
-    /// Per-coordinator retry epoch (see [`Event::Retry`]); bumped when a
-    /// barrier abort invalidates the coordinator's parked retry.
-    retry_epoch: Vec<u32>,
+    /// Per-coordinator epoch stamped on the coordinator's queued events
+    /// (see [`Event::Retry`] and [`Event::Arrival`]): bumped when a barrier
+    /// abort invalidates the coordinator's parked retry and, under
+    /// Routed, whenever an item is imported, so it is the item's
+    /// ownership epoch and migrates with it.
+    epoch: Vec<u32>,
     /// Per-coordinator causal segment history of the in-flight op, in
     /// causal order (`(edge kind, µs)`); only written when
     /// `config.obs.causal` is enabled. Mirrors the `PendingOp` phase
@@ -652,7 +659,7 @@ impl<'a> ShardSim<'a> {
             abort_flag: vec![false; coords],
             pending: OpSlab::new(coords),
             op_counter: vec![0; coords],
-            retry_epoch: vec![0; coords],
+            epoch: vec![0; coords],
             causal_segs: vec![Vec::new(); coords],
             scratch: Vec::new(),
             recorders,
@@ -666,9 +673,11 @@ impl<'a> ShardSim<'a> {
             // Every owned item carries its own arrival stream; the phase
             // offsets stagger the streams, so no start jitter is needed
             // (and no RNG is drawn, keeping streams placement-independent).
-            for g in sim.global_items.clone() {
+            for li in 0..sim.global_items.len() {
+                let g = sim.global_items[li];
                 if let Some(at) = sim.next_arrival_at_or_after(g, SimTime::ZERO) {
-                    sim.schedule(at, Event::Arrival { item: g });
+                    let key = sim.epoch_key(li);
+                    sim.schedule(at, Event::Arrival { key });
                 }
             }
         } else {
@@ -700,7 +709,7 @@ impl<'a> ShardSim<'a> {
             Event::Retry { key } => self.handle_retry(key),
             Event::PlanFault { idx } => self.handle_plan_fault(idx),
             Event::SpyCheck => self.spy_check(),
-            Event::Arrival { item } => self.handle_arrival(item),
+            Event::Arrival { key } => self.handle_arrival(key),
         }
     }
 
@@ -718,7 +727,7 @@ impl<'a> ShardSim<'a> {
         } else {
             key
         };
-        if self.retry_epoch[slot] != epoch {
+        if self.epoch[slot] != epoch {
             return;
         }
         self.attempt_op(slot);
@@ -1307,13 +1316,14 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// The packed key a queued [`Event::Retry`] carries for coordinator
-    /// `key`: the coordinate (global item id under Routed) in the low 32
-    /// bits, the coordinator's current retry epoch in the high 32.
+    /// The packed key a queued [`Event::Retry`] or [`Event::Arrival`]
+    /// carries for coordinator `key`: the coordinate (global item id under
+    /// Routed) in the low 32 bits, the coordinator's current epoch in the
+    /// high 32.
     #[inline]
-    fn retry_key(&self, key: usize) -> usize {
+    fn epoch_key(&self, key: usize) -> usize {
         let coord = if self.routed { self.global_items[key] } else { key };
-        coord | ((self.retry_epoch[key] as usize) << 32)
+        coord | ((self.epoch[key] as usize) << 32)
     }
 
     /// Index into `client_cfg` of coordinator `key`'s cached configuration
@@ -1360,16 +1370,22 @@ impl<'a> ShardSim<'a> {
     /// A routed arrival for global item `g`: begin an operation keyed by
     /// the item (or let a still-retrying one absorb it — the item is
     /// saturated), then schedule the stream's successor. Arrivals for
-    /// items this shard no longer owns are tombstones.
-    fn handle_arrival(&mut self, g: usize) {
+    /// items this shard no longer owns, or stamped with an earlier
+    /// ownership epoch, are tombstones (see [`Event::Arrival`]).
+    fn handle_arrival(&mut self, packed: usize) {
+        let g = packed & 0xFFFF_FFFF;
         let Ok(li) = self.global_items.binary_search(&g) else {
             return;
         };
+        if self.epoch[li] != (packed >> 32) as u32 {
+            return;
+        }
         // Arrivals are unconditional (open loop): schedule the successor
         // before deciding what to do with this one.
         if let Some(at) = self.next_arrival_at_or_after(g, self.now + SimTime(1)) {
             let delay = at - self.now;
-            self.schedule(delay, Event::Arrival { item: g });
+            let key = self.epoch_key(li);
+            self.schedule(delay, Event::Arrival { key });
         }
         if self.pending.is_live(li) {
             return;
@@ -1930,7 +1946,7 @@ impl<'a> ShardSim<'a> {
         op.backoff_us += delay.as_micros();
         self.causal_stale(client, attempt_elapsed, delay);
         self.pending.put(client, op);
-        self.schedule(delay, Event::Retry { key: self.retry_key(client) });
+        self.schedule(delay, Event::Retry { key: self.epoch_key(client) });
     }
 
     /// Commit the pending operation against its item.
@@ -2047,7 +2063,7 @@ impl<'a> ShardSim<'a> {
             op.backoff_us += (delay - attempt_elapsed).as_micros();
             self.causal_push(client, EdgeKind::RetryBackoff, delay - attempt_elapsed);
             self.pending.put(client, op);
-            self.schedule(delay, Event::Retry { key: self.retry_key(client) });
+            self.schedule(delay, Event::Retry { key: self.epoch_key(client) });
             return;
         }
         let stats = if op.read {
@@ -2074,7 +2090,7 @@ impl<'a> ShardSim<'a> {
     fn abort_parked(&mut self, slot: usize) {
         let Some(op) = self.pending.take(slot) else { return };
         self.metrics.stale_rejections += 1;
-        self.retry_epoch[slot] += 1;
+        self.epoch[slot] += 1;
         if self.recorders.is_some() {
             let kind = if op.read { TmKind::Read } else { TmKind::Write };
             let faulted = self.faulted_now();
@@ -2168,7 +2184,7 @@ impl<'a> ShardSim<'a> {
             Some(r) => extract_at(r, &lis).into_iter().map(Some).collect(),
             None => lis.iter().map(|_| None).collect(),
         };
-        let (op_counts, retry_epochs) = if self.routed {
+        let (op_counts, epochs) = if self.routed {
             // Per-coordinator state is per *item* under routing; the
             // abort flag column is always false (Routed forbids
             // AbortClient) but must stay length-aligned. Slab slots are
@@ -2176,7 +2192,7 @@ impl<'a> ShardSim<'a> {
             // ops, whose `item` is their own slot index.
             extract_at(&mut self.abort_flag, &lis);
             let oc = extract_at(&mut self.op_counter, &lis);
-            let re = extract_at(&mut self.retry_epoch, &lis);
+            let re = extract_at(&mut self.epoch, &lis);
             extract_at(&mut self.client_cfg, &lis);
             // Always empty here — `abort_parked` just consumed any parked
             // op's segments — so the column is dropped, not exported.
@@ -2231,7 +2247,7 @@ impl<'a> ShardSim<'a> {
                 last_reconfig: last_reconfigs[k],
                 reconfigs_used: reconfigs_useds[k],
                 op_count: op_counts[k],
-                retry_epoch: retry_epochs[k],
+                epoch: epochs[k],
                 recorder: recorders.next().expect("one recorder slot per item"),
             });
         }
@@ -2271,7 +2287,6 @@ impl<'a> ShardSim<'a> {
             }
             finals.push(oi + finals.len());
         }
-        let new_globals: Vec<usize> = sts.iter().map(|st| st.global).collect();
         // Decompose the states into per-field insertion lists and merge
         // each parallel vector once.
         let mut slot_blocks = Vec::with_capacity(sts.len());
@@ -2296,7 +2311,7 @@ impl<'a> ShardSim<'a> {
             lr_ins.push((li, st.last_reconfig));
             ru_ins.push((li, st.reconfigs_used));
             oc_ins.push((li, st.op_count));
-            re_ins.push((li, st.retry_epoch));
+            re_ins.push((li, st.epoch));
             if self.recorders.is_some() {
                 rec_ins.push((
                     li,
@@ -2328,7 +2343,7 @@ impl<'a> ShardSim<'a> {
                 finals.iter().map(|&li| (li, false)).collect(),
             );
             insert_at(&mut self.op_counter, oc_ins);
-            insert_at(&mut self.retry_epoch, re_ins);
+            insert_at(&mut self.epoch, re_ins);
             insert_at(
                 &mut self.causal_segs,
                 finals.iter().map(|&li| (li, Vec::new())).collect(),
@@ -2347,13 +2362,20 @@ impl<'a> ShardSim<'a> {
                 }
             }
             // Each item's arrival stream continues here from the first
-            // tick strictly after the barrier — the old owner processed
-            // every arrival ≤ the barrier, and any it had queued beyond
-            // it tombstone, so no arrival is lost or duplicated.
-            for &g in &new_globals {
-                if let Some(at) = self.next_arrival_at_or_after(g, self.now + SimTime(1)) {
+            // tick strictly after the barrier under a fresh ownership
+            // epoch. The old owner processed every arrival ≤ the barrier,
+            // and any it had queued beyond it tombstone: there as
+            // unowned, and — should the item migrate back before they
+            // fire — here as stamped with a superseded epoch. So no
+            // arrival is lost or duplicated.
+            for &li in &finals {
+                self.epoch[li] += 1;
+                if let Some(at) =
+                    self.next_arrival_at_or_after(self.global_items[li], self.now + SimTime(1))
+                {
                     let delay = at - self.now;
-                    self.schedule(delay, Event::Arrival { item: g });
+                    let key = self.epoch_key(li);
+                    self.schedule(delay, Event::Arrival { key });
                 }
             }
         } else {
@@ -2445,8 +2467,8 @@ struct ItemState {
     reconfigs_used: u32,
     /// Routed-mode per-item operation counter (0 in client modes).
     op_count: u64,
-    /// Routed-mode retry epoch (0 in client modes).
-    retry_epoch: u32,
+    /// Routed-mode ownership epoch (0 in client modes).
+    epoch: u32,
     /// The item's schedule-trace recorder, when tracing.
     recorder: Option<TraceRecorder>,
 }

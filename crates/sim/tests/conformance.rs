@@ -6,16 +6,24 @@
 //! `faults.rs` through `qc_replication::check_trace`, asserts that tracing
 //! never perturbs a run (traced and untraced metrics are byte-identical),
 //! and hand-mutates recorded traces to prove the checker rejects
-//! non-conforming schedules at the right divergence point.
+//! non-conforming schedules at the right divergence point. Every
+//! hand-mutated trace, and random single-event mutations of a real grid
+//! trace, also pin the streamed Theorem 10 replay to a materialised
+//! reference: the same divergence, at the same event, for the same
+//! reason.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use ioa::{Component, OpClass, System};
+use nested_txn::{ObjectId, ReadWriteObject, SerialScheduler, TxnOp, Value};
+use proptest::prelude::*;
+use qc_replication::{project_trace, replay_projection};
 use qc_sim::{
-    check_trace, run, run_traced, AbortReason, ConformanceReport, ContactPolicy, DivergenceKind,
-    FaultPlan, LatencyModel, Metrics, ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace,
-    SimConfig, SimTime, TmKind, TraceAction,
+    check_trace, run, run_traced, AbortReason, ConformanceReport, ContactPolicy, Divergence,
+    DivergenceKind, FaultPlan, LatencyModel, Metrics, ReconfigPolicy, ReconfigTarget, RetryPolicy,
+    ScheduleTrace, SimConfig, SimTime, TmKind, TraceAction,
 };
-use quorum::{Majority, ReplicaSet, Rowa};
+use quorum::{Majority, QuorumSpec, ReplicaSet, Rowa};
 
 /// Run traced, assert the trace conforms, and return everything.
 fn assert_conforms(c: SimConfig) -> (Metrics, ScheduleTrace, ConformanceReport) {
@@ -297,7 +305,7 @@ fn corrupted_run_fails_conformance() {
     let q = Arc::clone(&c.quorum);
     let (m, t) = run_traced(c);
     assert!(m.lemma_violations > 0, "monitor should fire too");
-    let d = check_trace(&t, &*q).expect_err("corrupted run must not conform");
+    let d = checked(&t, &*q).expect_err("corrupted run must not conform");
     assert!(
         matches!(d.kind, DivergenceKind::Malformed(_)),
         "unexpected divergence: {d}"
@@ -321,7 +329,7 @@ fn conformance_does_not_need_the_monitor() {
     let q = Arc::clone(&c.quorum);
     let (m, t) = run_traced(c);
     assert_eq!(m.lemma_violations, 0, "monitor is off");
-    assert!(check_trace(&t, &*q).is_err(), "conformance must still fail");
+    assert!(checked(&t, &*q).is_err(), "conformance must still fail");
 }
 
 /// With no clients there is no schedule: the trace is empty and vacuously
@@ -377,7 +385,7 @@ fn mutated_stale_version_is_rejected() {
         panic!("expected REQUEST-COMMIT at {rc}");
     };
     t.events[rc].action = TraceAction::RequestCommit { vn: vn + 1, value };
-    let d = check_trace(&t, &*q).expect_err("stale version must not conform");
+    let d = checked(&t, &*q).expect_err("stale version must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the mutated action", d.action);
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");
 }
@@ -393,7 +401,7 @@ fn mutated_commit_without_quorum_install_is_rejected() {
         t.events.remove(i);
     }
     let rc = rc - installs.len();
-    let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
+    let d = checked(&t, &*q).expect_err("installing nowhere must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the gutted commit", d.action);
     assert_eq!(d.kind, DivergenceKind::NoWriteQuorum, "got: {d}");
 }
@@ -582,7 +590,7 @@ fn mutated_stale_generation_commit_is_rejected() {
     }
     let rc = rc + holdouts.len();
 
-    let d = check_trace(&t, &*q).expect_err("a stale-generation commit must not conform");
+    let d = checked(&t, &*q).expect_err("a stale-generation commit must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the stale commit", d.action);
     assert_eq!(d.kind, DivergenceKind::StaleGeneration, "got: {d}");
 }
@@ -609,7 +617,7 @@ fn mutated_install_without_old_config_quorum_is_rejected() {
         t.events.remove(i);
     }
     let rc = rc - installs.len();
-    let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
+    let d = checked(&t, &*q).expect_err("installing nowhere must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the gutted install", d.action);
     assert_eq!(d.kind, DivergenceKind::NoConfigWriteQuorum, "got: {d}");
 }
@@ -632,7 +640,246 @@ fn mutated_read_observation_is_rejected() {
         vn,
         value: value + 1,
     };
-    let d = check_trace(&t, &*q).expect_err("fabricated observation must not conform");
+    let d = checked(&t, &*q).expect_err("fabricated observation must not conform");
     assert_eq!(d.event, target, "diverged at {} instead of the mutation", d.action);
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");
+}
+
+// ---------------------------------------------------------------------------
+// The streamed Theorem 10 replay diverges exactly as a materialised one.
+// ---------------------------------------------------------------------------
+
+/// The reference system A's root program: it outputs the top-level
+/// `REQUEST-CREATE`s and absorbs their returns, accepting everything (the
+/// scheduler and the object carry the preconditions under test).
+#[derive(Clone, Debug)]
+struct Root;
+
+impl Component<TxnOp> for Root {
+    fn name(&self) -> String {
+        "root".into()
+    }
+
+    fn classify(&self, op: &TxnOp) -> OpClass {
+        match op {
+            TxnOp::RequestCreate { tid, .. } if tid.depth() == 1 => OpClass::Output,
+            TxnOp::Create { tid, .. } if tid.is_root() => OpClass::Input,
+            TxnOp::Commit { tid, .. } | TxnOp::Abort { tid } if tid.depth() == 1 => OpClass::Input,
+            _ => OpClass::NotMine,
+        }
+    }
+
+    fn reset(&mut self) {}
+
+    fn enabled_outputs(&self) -> Vec<TxnOp> {
+        Vec::new()
+    }
+
+    fn apply(&mut self, _op: &TxnOp) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn clone_boxed(&self) -> Box<dyn Component<TxnOp>> {
+        Box::new(self.clone())
+    }
+}
+
+/// The Theorem 10 stage done the materialised way: collect α with
+/// `project_trace`, then step a fresh system A through it, mapping the
+/// first refusal back to its source event.
+fn reference_replay(t: &ScheduleTrace) -> Result<usize, Divergence> {
+    let (alpha, src) = project_trace(t);
+    let mut a: System<TxnOp> = System::new();
+    a.push(Box::new(SerialScheduler::new()));
+    a.push(Box::new(ReadWriteObject::new(
+        ObjectId(0),
+        "O(x)",
+        Value::Int(t.initial as i64),
+    )));
+    a.push(Box::new(Root));
+    for (op, &at) in alpha.iter().zip(&src) {
+        if let Err(e) = a.step(op) {
+            return Err(Divergence {
+                event: at,
+                action: t.events.get(at).map_or_else(
+                    || "end of trace".into(),
+                    |ev| format!("{}: {}", ev.tid, ev.action),
+                ),
+                kind: DivergenceKind::Replay(format!("serial system A refused {op}: {e}")),
+            });
+        }
+    }
+    Ok(alpha.len())
+}
+
+/// `check_trace`, after asserting that the streamed replay agrees with
+/// the reference: on its own (even past a structural divergence, since
+/// the projection is lenient), and inside `check_trace` whenever the
+/// structural layers let the replay run.
+fn checked(t: &ScheduleTrace, q: &dyn QuorumSpec) -> Result<ConformanceReport, Divergence> {
+    let reference = reference_replay(t);
+    assert_eq!(
+        replay_projection(t),
+        reference,
+        "streamed replay diverged from the reference"
+    );
+    let verdict = check_trace(t, q);
+    match &verdict {
+        Ok(report) => assert_eq!(Ok(report.alpha_len), reference),
+        Err(d) if matches!(d.kind, DivergenceKind::Replay(_)) => {
+            assert_eq!(Err(d.clone()), reference);
+        }
+        Err(_) => {} // a structural divergence: the replay never ran
+    }
+    verdict
+}
+
+/// A read's REQUEST-COMMIT rewritten to a value the object never held
+/// fails the structure (Lemma 7 at the commit) *and* system A (the
+/// object refuses the read's return), so the streamed replay's own
+/// divergence is pinned here: the rewritten event, as a refusal.
+#[test]
+fn mutated_read_result_is_refused_by_system_a_at_its_request_commit() {
+    let (mut t, q) = small_recorded_run();
+    let create = t
+        .events
+        .iter()
+        .position(|e| matches!(e.action, TraceAction::Create { kind: TmKind::Read }))
+        .expect("a read block");
+    let rc = (create..t.events.len())
+        .find(|&i| matches!(t.events[i].action, TraceAction::RequestCommit { .. }))
+        .expect("the read's REQUEST-COMMIT");
+    let TraceAction::RequestCommit { vn, value } = t.events[rc].action else {
+        unreachable!();
+    };
+    t.events[rc].action = TraceAction::RequestCommit {
+        vn,
+        value: value + 7,
+    };
+    let d = replay_projection(&t).expect_err("system A must refuse the read");
+    assert_eq!(
+        d.event, rc,
+        "refused at {} instead of the rewritten return",
+        d.action
+    );
+    assert!(matches!(d.kind, DivergenceKind::Replay(_)), "got: {d}");
+    assert!(checked(&t, &*q).is_err());
+}
+
+/// A short grid trace under ROWA with crash/repair churn and reactive
+/// reconfiguration: reads, writes, reconfigure blocks, and aborts.
+fn grid_trace() -> &'static (ScheduleTrace, Arc<Rowa>) {
+    static TRACE: OnceLock<(ScheduleTrace, Arc<Rowa>)> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let q = Arc::new(Rowa::new(5));
+        let mut c = SimConfig::new(Arc::clone(&q) as Arc<_>);
+        c.clients = 8;
+        c.think_time = SimTime::ZERO;
+        c.read_fraction = 0.9;
+        c.contact = ContactPolicy::MinimalQuorum;
+        c.mttf = Some(SimTime::from_millis(500));
+        c.mttr = SimTime::from_millis(100);
+        c.reconfig = ReconfigPolicy {
+            max_reconfigs: u32::MAX,
+            ..ReconfigPolicy::reactive()
+        };
+        c.retry = RetryPolicy::retries(3, SimTime::from_millis(1));
+        c.duration = SimTime::from_millis(300);
+        c.seed = 23;
+        let (m, t) = run_traced(c);
+        assert!(m.reconfigurations > 0, "the window must reconfigure");
+        check_trace(&t, &*q).expect("the unmutated grid trace conforms");
+        (t, q)
+    })
+}
+
+/// One single-event mutation of a trace: drop, duplicate or swap an
+/// event with its successor, or perturb the event's payload.
+fn mutate(t: &mut ScheduleTrace, kind: u8, pos: usize) {
+    let i = pos % t.events.len();
+    match kind {
+        0 => {
+            t.events.remove(i);
+        }
+        1 => {
+            let ev = t.events[i];
+            t.events.insert(i, ev);
+        }
+        2 if i + 1 < t.events.len() => t.events.swap(i, i + 1),
+        3 => t.events[i].tid.attempt += 1,
+        _ => {
+            let ev = &mut t.events[i];
+            ev.action = match ev.action {
+                TraceAction::Create { kind } => TraceAction::Create {
+                    kind: match kind {
+                        TmKind::Read => TmKind::Write,
+                        TmKind::Write | TmKind::Reconfig => TmKind::Read,
+                    },
+                },
+                TraceAction::ReadDm { site, vn, value } => TraceAction::ReadDm {
+                    site,
+                    vn,
+                    value: value + 1,
+                },
+                TraceAction::WriteDm { site, vn, value } => TraceAction::WriteDm {
+                    site,
+                    vn: vn + 1,
+                    value,
+                },
+                TraceAction::ReadCfg { site, gen } => TraceAction::ReadCfg { site, gen: gen + 1 },
+                TraceAction::WriteCfg {
+                    site,
+                    gen,
+                    mut members,
+                } => {
+                    members.remove(site);
+                    TraceAction::WriteCfg { site, gen, members }
+                }
+                TraceAction::RequestCommit { vn, value } if kind == 4 => {
+                    TraceAction::RequestCommit {
+                        vn,
+                        value: value + 1,
+                    }
+                }
+                TraceAction::RequestCommit { vn, value } => {
+                    TraceAction::RequestCommit { vn: vn + 1, value }
+                }
+                TraceAction::Commit => TraceAction::Abort {
+                    kind: TmKind::Read,
+                    reason: AbortReason::Forced,
+                },
+                TraceAction::Abort { kind, reason } => TraceAction::Abort {
+                    kind: if kind == TmKind::Read {
+                        TmKind::Write
+                    } else {
+                        TmKind::Read
+                    },
+                    reason,
+                },
+            };
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Random single-event mutations of a real grid trace: the streamed
+    /// replay and the full checker agree with the materialised reference
+    /// on every one (accepting or diverging at the same event with the
+    /// same reason).
+    #[test]
+    fn streamed_replay_matches_the_reference_under_mutation(
+        kind in 0u8..6,
+        pos in 0usize..1_000_000,
+    ) {
+        let (t, q) = grid_trace();
+        let mut t = t.clone();
+        mutate(&mut t, kind, pos);
+        checked(&t, &**q).ok();
+    }
 }

@@ -68,6 +68,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fxhash;
 mod object;
 mod op;
 mod program;

@@ -1,10 +1,11 @@
 //! Basic objects: read/write objects (paper §2.3).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 
 use ioa::{Component, OpClass};
 
+use crate::fxhash::FxBuild;
 use crate::op::{AccessKind, TxnOp};
 use crate::tid::Tid;
 use crate::value::{ObjectId, Value};
@@ -47,7 +48,9 @@ pub struct ReadWriteObject {
     init: Value,
     data: Value,
     active: Option<(Tid, AccessKind, Value)>,
-    created: BTreeSet<Tid>,
+    /// Every access created here so far: the signature test that makes a
+    /// `REQUEST-COMMIT(T,v)` this object's output.
+    created: HashSet<Tid, FxBuild>,
     registry: BTreeMap<Tid, RegisteredAccess>,
 }
 
@@ -61,7 +64,7 @@ impl ReadWriteObject {
             data: init.clone(),
             init,
             active: None,
-            created: BTreeSet::new(),
+            created: HashSet::default(),
             registry: BTreeMap::new(),
         }
     }
@@ -79,7 +82,7 @@ impl ReadWriteObject {
             data: init.clone(),
             init,
             active: None,
-            created: BTreeSet::new(),
+            created: HashSet::default(),
             registry,
         }
     }
@@ -97,11 +100,6 @@ impl ReadWriteObject {
     /// The currently active access, if any.
     pub fn active(&self) -> Option<&Tid> {
         self.active.as_ref().map(|(t, _, _)| t)
-    }
-
-    /// All accesses created at this object so far.
-    pub fn accesses_created(&self) -> &BTreeSet<Tid> {
-        &self.created
     }
 
     fn resolve(&self, op: &TxnOp) -> Option<(AccessKind, Value)> {
@@ -131,8 +129,13 @@ impl Component<TxnOp> for ReadWriteObject {
 
     fn classify(&self, op: &TxnOp) -> OpClass {
         match op {
-            TxnOp::Create { .. } => {
-                if self.resolve(op).is_some() {
+            // Ours iff `resolve` would find the access's attributes.
+            TxnOp::Create { tid, access, .. } => {
+                let mine = match access {
+                    Some(spec) => spec.object == self.id,
+                    None => self.registry.contains_key(tid),
+                };
+                if mine {
                     OpClass::Input
                 } else {
                     OpClass::NotMine
@@ -184,13 +187,13 @@ impl Component<TxnOp> for ReadWriteObject {
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
-                let Some((active, kind, wdata)) = self.active.clone() else {
+                let Some((active, kind, wdata)) = &self.active else {
                     return Err(format!(
                         "{}: REQUEST-COMMIT({tid}) with no active access",
                         self.label
                     ));
                 };
-                if &active != tid {
+                if active != tid {
                     return Err(format!(
                         "{}: REQUEST-COMMIT({tid}) but active is {active}",
                         self.label
@@ -212,7 +215,7 @@ impl Component<TxnOp> for ReadWriteObject {
                                 self.label
                             ));
                         }
-                        self.data = wdata;
+                        self.data = wdata.clone();
                     }
                 }
                 self.active = None;
@@ -393,6 +396,13 @@ mod tests {
         x.reset();
         assert_eq!(x.data(), &Value::Int(0));
         assert!(x.active().is_none());
-        assert!(x.accesses_created().is_empty());
+        // The created access is forgotten: its REQUEST-COMMIT is foreign again.
+        assert_eq!(
+            x.classify(&TxnOp::RequestCommit {
+                tid: t(&[1, 0]),
+                value: Value::Nil
+            }),
+            OpClass::NotMine
+        );
     }
 }

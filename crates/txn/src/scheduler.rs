@@ -1,10 +1,11 @@
 //! The serial scheduler automaton (paper §2.2, fully specified).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
 use ioa::{Component, OpClass};
 
+use crate::fxhash::FxBuild;
 use crate::op::{AccessSpec, TxnOp};
 use crate::tid::Tid;
 use crate::value::Value;
@@ -15,7 +16,9 @@ use crate::value::Value;
 ///
 /// State components follow the paper exactly: `create-requested`, `created`,
 /// `commit-requested`, `committed`, `aborted`, and `returned`. Initially
-/// `create-requested = {T0}` and the rest are empty.
+/// `create-requested = {T0}` and the rest are empty. They are stored as
+/// one [`Record`] per transaction that has taken part in any of them (see
+/// the field docs for the mapping).
 ///
 /// Output preconditions (transcribed):
 ///
@@ -47,56 +50,85 @@ use crate::value::Value;
 /// [`AccessSpec`](crate::AccessSpec)).
 #[derive(Debug, Clone, Default)]
 pub struct SerialScheduler {
-    create_requested: BTreeMap<Tid, (Option<AccessSpec>, Option<Value>)>,
-    created: BTreeSet<Tid>,
-    commit_requested: BTreeMap<Tid, Value>,
-    committed: BTreeMap<Tid, Value>,
-    aborted: BTreeSet<Tid>,
-    returned: BTreeSet<Tid>,
+    records: HashMap<Tid, Record, FxBuild>,
+}
+
+/// One transaction's membership in the paper's state sets, plus the two
+/// per-parent counters that evaluate the set-quantified preconditions in
+/// O(1).
+#[derive(Debug, Clone, Default)]
+struct Record {
+    /// `T ∈ create-requested`, with the `(access, param)` payloads the
+    /// request carried (ferried to `CREATE(T)`).
+    requested: Option<(Option<AccessSpec>, Option<Value>)>,
+    /// `T ∈ created`.
+    created: bool,
+    /// `T ∈ aborted`.
+    aborted: bool,
+    /// `T ∈ returned`.
+    returned: bool,
+    /// `(T, v) ∈ commit-requested`: the first requested value.
+    commit_requested: Option<Value>,
+    /// `(T, v) ∈ committed`. The `COMMIT` precondition makes `v` the
+    /// commit-requested value, so a flag suffices.
+    committed: bool,
     // The two output preconditions quantify over siblings/children, and a
     // scan per step makes long flat schedules quadratic (replaying a
     // million-transaction simulator trace never finishes). These counters
     // are the same predicates maintained incrementally:
-    /// Per-parent count of created-but-not-returned children
-    /// (`siblings(T) ∩ created ⊈ returned` ⇔ counter ≠ 0).
-    active_children: BTreeMap<Tid, usize>,
-    /// Per-parent count of requested-but-not-returned children
-    /// (`children(T) ∩ create-requested ⊈ returned` ⇔ counter ≠ 0).
-    pending_children: BTreeMap<Tid, usize>,
+    /// `|children(T) ∩ created − returned|` (`siblings(C) ∩ created ⊈
+    /// returned` for an uncreated child `C` ⇔ counter ≠ 0).
+    active_children: u32,
+    /// `|children(T) ∩ create-requested − returned|` (`children(T) ∩
+    /// create-requested ⊈ returned` ⇔ counter ≠ 0).
+    pending_children: u32,
+}
+
+/// The parent's path, or `None` for the root: a borrowed key into the
+/// record table, so parent lookups allocate nothing.
+fn parent_path(t: &Tid) -> Option<&[u32]> {
+    t.path().split_last().map(|(_, p)| p)
 }
 
 impl SerialScheduler {
     /// A scheduler in its start state (`create-requested = {T0}`).
     pub fn new() -> Self {
         let mut s = SerialScheduler::default();
-        s.create_requested.insert(Tid::root(), (None, None));
+        s.records.insert(
+            Tid::root(),
+            Record {
+                requested: Some((None, None)),
+                ..Record::default()
+            },
+        );
         s
-    }
-
-    /// The set of created transactions.
-    pub fn created(&self) -> &BTreeSet<Tid> {
-        &self.created
-    }
-
-    /// The set of aborted transactions.
-    pub fn aborted(&self) -> &BTreeSet<Tid> {
-        &self.aborted
-    }
-
-    /// The set of returned (committed or aborted) transactions.
-    pub fn returned(&self) -> &BTreeSet<Tid> {
-        &self.returned
-    }
-
-    /// Committed transactions with their values.
-    pub fn committed(&self) -> &BTreeMap<Tid, Value> {
-        &self.committed
     }
 
     /// Whether `tid` is an *orphan*: some ancestor has aborted. (Used for
     /// the non-orphan hypothesis of the paper's Theorem 11.)
     pub fn is_orphan(&self, tid: &Tid) -> bool {
-        self.aborted.iter().any(|a| a.is_ancestor_of(tid))
+        let path = tid.path();
+        (0..=path.len()).any(|d| self.records.get(&path[..d]).is_some_and(|r| r.aborted))
+    }
+
+    /// The record at `path`, inserted empty on first touch. A probe with
+    /// the borrowed path finds it without allocating; only the first
+    /// touch builds an owned key.
+    fn record_mut(&mut self, path: &[u32]) -> &mut Record {
+        if !self.records.contains_key(path) {
+            self.records.insert(Tid::from_path(path), Record::default());
+        }
+        self.records
+            .get_mut(path)
+            .expect("present or inserted above")
+    }
+
+    /// The record of `t`, whose output operation was just found enabled
+    /// (every enabled output names a recorded transaction).
+    fn enabled_record(&mut self, t: &Tid) -> &mut Record {
+        self.records
+            .get_mut(t.path())
+            .expect("an enabled output names a recorded transaction")
     }
 
     /// `siblings(T) ∩ created ⊆ returned`. Only consulted for a `t` that
@@ -104,47 +136,52 @@ impl SerialScheduler {
     /// parent's active-children counter counts exactly the created,
     /// unreturned siblings.
     fn siblings_quiet(&self, t: &Tid) -> bool {
-        match t.parent() {
-            Some(p) => self.active_children.get(&p).copied().unwrap_or(0) == 0,
+        match parent_path(t) {
+            Some(p) => self.records.get(p).map_or(0, |r| r.active_children) == 0,
             None => true, // the root has no siblings
         }
     }
 
     /// `children(T) ∩ create-requested ⊆ returned`, as a counter.
     fn children_returned(&self, t: &Tid) -> bool {
-        self.pending_children.get(t).copied().unwrap_or(0) == 0
+        self.records.get(t.path()).map_or(0, |r| r.pending_children) == 0
     }
 
-    /// Maintain the counters when `t` returns: it stops being an active
-    /// sibling (if it was created) and a pending child (if requested).
-    /// Called at most once per transaction — both `COMMIT` and `ABORT`
-    /// preconditions exclude already-returned transactions.
+    /// Mark `t` returned and maintain the counters: it stops being an
+    /// active sibling (if it was created) and a pending child (if
+    /// requested). Only the first return counts: `COMMIT` excludes
+    /// returned transactions, but `ABORT` excludes only created ones, so
+    /// an ill-formed schedule can abort a transaction that committed
+    /// without being created — a no-op on the `returned` set.
     fn note_returned(&mut self, t: &Tid) {
-        if let Some(p) = t.parent() {
-            if self.created.contains(t) {
-                if let Some(n) = self.active_children.get_mut(&p) {
-                    *n = n.saturating_sub(1);
-                }
+        let r = self.enabled_record(t);
+        if std::mem::replace(&mut r.returned, true) {
+            return;
+        }
+        let (was_created, was_requested) = (r.created, r.requested.is_some());
+        if let Some(p) = parent_path(t).and_then(|p| self.records.get_mut(p)) {
+            if was_created {
+                p.active_children -= 1;
             }
-            if self.create_requested.contains_key(t) {
-                if let Some(n) = self.pending_children.get_mut(&p) {
-                    *n = n.saturating_sub(1);
-                }
+            if was_requested {
+                p.pending_children -= 1;
             }
         }
     }
 
     fn create_enabled(&self, t: &Tid) -> bool {
-        self.create_requested.contains_key(t)
-            && !self.created.contains(t)
-            && !self.aborted.contains(t)
+        self.records
+            .get(t.path())
+            .is_some_and(|r| r.requested.is_some() && !r.created && !r.aborted)
             && self.siblings_quiet(t)
     }
 
     fn commit_enabled(&self, t: &Tid) -> bool {
         !t.is_root()
-            && self.commit_requested.contains_key(t)
-            && !self.returned.contains(t)
+            && self
+                .records
+                .get(t.path())
+                .is_some_and(|r| r.commit_requested.is_some() && !r.returned)
             && self.children_returned(t)
     }
 
@@ -169,27 +206,41 @@ impl Component<TxnOp> for SerialScheduler {
         *self = SerialScheduler::new();
     }
 
+    /// Every enabled `CREATE(T)` (each followed by `ABORT(T)` unless `T`
+    /// is the root), then every enabled `COMMIT(T,v)`, each group in
+    /// ascending `Tid` order — the explorer's branching order.
     fn enabled_outputs(&self) -> Vec<TxnOp> {
-        let mut out = Vec::new();
-        for (t, (access, param)) in &self.create_requested {
-            if self.create_enabled(t) {
-                out.push(TxnOp::Create {
-                    tid: t.clone(),
-                    access: access.clone(),
-                    param: param.clone(),
-                });
-                if !t.is_root() {
-                    out.push(TxnOp::Abort { tid: t.clone() });
+        let mut creates: Vec<(&Tid, &Record)> = Vec::new();
+        let mut commits: Vec<(&Tid, &Value)> = Vec::new();
+        for (t, r) in &self.records {
+            if r.requested.is_some() && self.create_enabled(t) {
+                creates.push((t, r));
+            }
+            if let Some(v) = &r.commit_requested {
+                if self.commit_enabled(t) {
+                    commits.push((t, v));
                 }
             }
         }
-        for (t, v) in &self.commit_requested {
-            if self.commit_enabled(t) {
-                out.push(TxnOp::Commit {
-                    tid: t.clone(),
-                    value: v.clone(),
-                });
+        creates.sort_unstable_by_key(|(t, _)| *t);
+        commits.sort_unstable_by_key(|(t, _)| *t);
+        let mut out = Vec::with_capacity(2 * creates.len() + commits.len());
+        for (t, r) in creates {
+            let (access, param) = r.requested.clone().expect("filtered above");
+            out.push(TxnOp::Create {
+                tid: t.clone(),
+                access,
+                param,
+            });
+            if !t.is_root() {
+                out.push(TxnOp::Abort { tid: t.clone() });
             }
+        }
+        for (t, v) in commits {
+            out.push(TxnOp::Commit {
+                tid: t.clone(),
+                value: v.clone(),
+            });
         }
         out
     }
@@ -200,29 +251,35 @@ impl Component<TxnOp> for SerialScheduler {
                 // Postcondition: create-requested ∪= {T}. (Set union: a
                 // repeat — which only an ill-formed parent would issue — is
                 // idempotent.)
-                if let std::collections::btree_map::Entry::Vacant(e) =
-                    self.create_requested.entry(tid.clone())
-                {
-                    e.insert((access.clone(), param.clone()));
-                    if let Some(p) = tid.parent() {
-                        *self.pending_children.entry(p).or_insert(0) += 1;
+                let r = self.records.entry(tid.clone()).or_default();
+                if r.requested.is_none() {
+                    r.requested = Some((access.clone(), param.clone()));
+                    // A transaction that already returned (a COMMIT needs
+                    // only a commit request) never counts as pending.
+                    if let (false, Some(p)) = (r.returned, parent_path(tid)) {
+                        self.record_mut(p).pending_children += 1;
                     }
                 }
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
-                self.commit_requested
+                self.records
                     .entry(tid.clone())
-                    .or_insert_with(|| value.clone());
+                    .or_default()
+                    .commit_requested
+                    .get_or_insert_with(|| value.clone());
                 Ok(())
             }
             TxnOp::Create { tid, .. } => {
                 if !self.create_enabled(tid) {
                     return Err(format!("CREATE({tid}) precondition fails"));
                 }
-                self.created.insert(tid.clone());
-                if let Some(p) = tid.parent() {
-                    *self.active_children.entry(p).or_insert(0) += 1;
+                let r = self.enabled_record(tid);
+                r.created = true;
+                // Likewise a transaction created after it returned never
+                // counts as active.
+                if let (false, Some(p)) = (r.returned, parent_path(tid)) {
+                    self.record_mut(p).active_children += 1;
                 }
                 Ok(())
             }
@@ -230,11 +287,11 @@ impl Component<TxnOp> for SerialScheduler {
                 if !self.commit_enabled(tid) {
                     return Err(format!("COMMIT({tid}) precondition fails"));
                 }
-                if self.commit_requested.get(tid) != Some(value) {
+                let r = self.enabled_record(tid);
+                if r.commit_requested.as_ref() != Some(value) {
                     return Err(format!("COMMIT({tid}) value differs from request"));
                 }
-                self.committed.insert(tid.clone(), value.clone());
-                self.returned.insert(tid.clone());
+                r.committed = true;
                 self.note_returned(tid);
                 Ok(())
             }
@@ -242,8 +299,7 @@ impl Component<TxnOp> for SerialScheduler {
                 if !self.abort_enabled(tid) {
                     return Err(format!("ABORT({tid}) precondition fails"));
                 }
-                self.aborted.insert(tid.clone());
-                self.returned.insert(tid.clone());
+                self.enabled_record(tid).aborted = true;
                 self.note_returned(tid);
                 Ok(())
             }
@@ -450,16 +506,16 @@ mod tests {
     #[test]
     fn counter_predicates_match_the_quantified_preconditions() {
         let brute_quiet = |s: &SerialScheduler, x: &Tid| {
-            s.created
+            s.records
                 .iter()
-                .filter(|c| c.is_sibling_of(x))
-                .all(|c| s.returned.contains(c))
+                .filter(|(c, r)| r.created && c.is_sibling_of(x))
+                .all(|(_, r)| r.returned)
         };
         let brute_children = |s: &SerialScheduler, x: &Tid| {
-            s.create_requested
-                .keys()
-                .filter(|c| c.is_child_of(x))
-                .all(|c| s.returned.contains(c))
+            s.records
+                .iter()
+                .filter(|(c, r)| r.requested.is_some() && c.is_child_of(x))
+                .all(|(_, r)| r.returned)
         };
         let rc = |path: &[u32], v: Value| TxnOp::RequestCommit {
             tid: t(path),
@@ -504,7 +560,8 @@ mod tests {
                 // `siblings_quiet` is only consulted for a `p` that is not
                 // itself created-and-unreturned (see `create_enabled`); an
                 // active `p` counts itself in the parent's counter.
-                if !s.created.contains(p) || s.returned.contains(p) {
+                let r = s.records.get(p.path());
+                if !r.is_some_and(|r| r.created) || r.is_some_and(|r| r.returned) {
                     assert_eq!(
                         s.siblings_quiet(p),
                         brute_quiet(&s, p),
@@ -518,7 +575,7 @@ mod tests {
                 );
             }
         }
-        assert!(s.committed.contains_key(&t(&[0])));
-        assert!(s.aborted.contains(&t(&[2])));
+        assert!(s.records.get(&[0u32][..]).is_some_and(|r| r.committed));
+        assert!(s.records.get(&[2u32][..]).is_some_and(|r| r.aborted));
     }
 }

@@ -1,5 +1,6 @@
 //! Transaction names, organised into a tree.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -123,6 +124,15 @@ impl Tid {
     }
 }
 
+/// A `Tid` hashes, compares and orders exactly as its path, so hashed and
+/// ordered tables keyed by `Tid` can be probed with a borrowed path — in
+/// particular a parent lookup `&path[..len - 1]`, which allocates nothing.
+impl Borrow<[u32]> for Tid {
+    fn borrow(&self) -> &[u32] {
+        &self.0
+    }
+}
+
 impl fmt::Display for Tid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "T0")?;
@@ -210,6 +220,17 @@ mod tests {
         let c = p.child(0);
         assert!(p < c);
         assert!(Tid::root() < p);
+    }
+
+    #[test]
+    fn borrowed_path_probes_a_tid_keyed_table() {
+        let t = Tid::from_path(&[4, 2, 9]);
+        let mut m = std::collections::HashMap::new();
+        m.insert(t.parent().unwrap(), "parent");
+        m.insert(t.clone(), "self");
+        assert_eq!(m.get(&t.path()[..2]), Some(&"parent"));
+        assert_eq!(m.get(t.path()), Some(&"self"));
+        assert_eq!(m.get(&[4u32][..]), None);
     }
 
     #[test]
